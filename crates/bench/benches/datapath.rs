@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use here_bench::experiments::datapath::run_datapath;
 use here_bench::Scale;
-use here_core::dataplane::{encode_pages_parallel, BufferPool, LanePool, PayloadMode};
+use here_core::dataplane::{encode_pages_round, BufferPool, EncodePlan, LanePool, PayloadMode};
 use here_core::transfer::{collect_chunked_into, CollectScratch};
 use here_hypervisor::dirty::DirtyBitmap;
 use here_hypervisor::memory::GuestMemory;
@@ -60,15 +60,18 @@ fn bench(c: &mut Criterion) {
         collect_chunked_into(&memory, &dirty, 1, &mut scratch, &mut delta);
         let mut pool = BufferPool::new();
         let lane_pool = LanePool::new();
+        let plan = EncodePlan {
+            lanes,
+            mode: PayloadMode::Materialized,
+            chunk_pages: None,
+            window: None,
+        };
         g.bench_function(format!("encode_materialized_l{lanes}"), |b| {
             b.iter(|| {
-                let segs = encode_pages_parallel(
-                    &delta,
-                    lanes,
-                    PayloadMode::Materialized,
-                    &mut pool,
-                    &lane_pool,
-                );
+                let mut segs = Vec::new();
+                encode_pages_round(&delta, &plan, &mut pool, &lane_pool, |_, seg| {
+                    segs.push(seg)
+                });
                 let total: usize = segs.iter().map(|s| s.len()).sum();
                 for seg in segs {
                     pool.recycle(seg);

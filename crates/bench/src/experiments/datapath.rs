@@ -46,8 +46,8 @@
 use std::time::Instant;
 
 use here_core::dataplane::{
-    decode_and_restore, encode_pages_parallel, encode_pages_round, translate_vcpus_parallel,
-    BufferPool, EncodePlan, LanePool, PayloadMode, SegmentRestorer, DEFAULT_CHUNK_PAGES,
+    decode_and_restore, encode_pages_round, translate_vcpus_parallel, BufferPool, EncodePlan,
+    LanePool, PayloadMode, SegmentRestorer, DEFAULT_CHUNK_PAGES,
 };
 use here_core::transfer::{collect_chunked_into, CollectScratch};
 use here_core::{CostModel, ReplicationConfig, Scenario};
@@ -313,14 +313,17 @@ pub fn run_datapath_with(scale: Scale, opts: DatapathOptions) -> DatapathOutput 
             assert_eq!(cirs.len(), blobs.len());
 
             // Barrier path: splice every lane shard, then decode.
+            let barrier = EncodePlan {
+                lanes: workers,
+                mode: PayloadMode::Materialized,
+                chunk_pages: None,
+                window: None,
+            };
             let t = Instant::now();
-            let segments = encode_pages_parallel(
-                &delta,
-                workers,
-                PayloadMode::Materialized,
-                &mut pool,
-                &lane_pool,
-            );
+            let mut segments = Vec::new();
+            encode_pages_round(&delta, &barrier, &mut pool, &lane_pool, |_, seg| {
+                segments.push(seg)
+            });
             let stream = splice(segments);
             if measured {
                 encode += t.elapsed().as_secs_f64();
@@ -341,10 +344,9 @@ pub fn run_datapath_with(scale: Scale, opts: DatapathOptions) -> DatapathOutput 
             // chunk decoded into the replica through the bounded window
             // while later chunks are still encoding.
             let plan = EncodePlan {
-                lanes: workers,
-                mode: PayloadMode::Materialized,
                 chunk_pages: Some(chunk_pages),
                 window: Some(OVERLAP_WINDOW),
+                ..barrier
             };
             let t = Instant::now();
             let mut restorer = SegmentRestorer::new(&mut replica_streamed, false);
@@ -367,14 +369,15 @@ pub fn run_datapath_with(scale: Scale, opts: DatapathOptions) -> DatapathOutput 
 
             // Wire-v3 columnar path: the meta-only page-columns records a
             // v3 session ships per epoch, decoded through a v3 restorer.
+            let v3 = EncodePlan {
+                mode: PayloadMode::Columnar { base_epoch: 0 },
+                ..barrier
+            };
             let t = Instant::now();
-            let segments = encode_pages_parallel(
-                &delta,
-                workers,
-                PayloadMode::Columnar { base_epoch: 0 },
-                &mut pool,
-                &lane_pool,
-            );
+            let mut segments = Vec::new();
+            encode_pages_round(&delta, &v3, &mut pool, &lane_pool, |_, seg| {
+                segments.push(seg)
+            });
             if measured {
                 v3_meta += t.elapsed().as_secs_f64();
             }
@@ -444,7 +447,16 @@ pub fn run_datapath_with(scale: Scale, opts: DatapathOptions) -> DatapathOutput 
     // chunk framing is identical on every host.
     let mut pool = BufferPool::new();
     let mut encoded_bytes = |mode| {
-        let segments = encode_pages_parallel(&delta, 1, mode, &mut pool, &lane_pool);
+        let plan = EncodePlan {
+            lanes: 1,
+            mode,
+            chunk_pages: None,
+            window: None,
+        };
+        let mut segments = Vec::new();
+        encode_pages_round(&delta, &plan, &mut pool, &lane_pool, |_, seg| {
+            segments.push(seg)
+        });
         let total: u64 = segments.iter().map(|s| s.len() as u64).sum();
         for seg in segments {
             pool.recycle(seg);

@@ -5,10 +5,11 @@
 //! 1. **What does the instrumentation cost?** The observability layer sits
 //!    on the checkpoint hot path — per-lane `Instant` probes, histogram
 //!    observes, flight-recorder writes. This experiment re-runs the
-//!    datapath's 8-lane materialized encode twice per round, once through
-//!    the plain [`encode_pages_parallel`] entry point and once through the
-//!    timed variant with every telemetry hook live (lane histograms,
-//!    stage histogram, flight events), and reports the relative overhead.
+//!    datapath's 8-lane materialized encode twice per round through
+//!    [`encode_pages_round`](here_core::dataplane::encode_pages_round),
+//!    once with its lane walls discarded and once with every telemetry
+//!    hook fed from them (lane histograms, stage histogram, flight
+//!    events), and reports the relative overhead.
 //!    The acceptance bar is **< 5 %**.
 //! 2. **What does a run's telemetry look like?** A short dynamic-period
 //!    replicated scenario runs with the always-on layer, and its frozen
@@ -22,9 +23,7 @@
 
 use std::time::Instant;
 
-use here_core::dataplane::{
-    encode_pages_parallel, encode_pages_parallel_timed, BufferPool, LanePool, PayloadMode,
-};
+use here_core::dataplane::{encode_pages_round, BufferPool, EncodePlan, LanePool, PayloadMode};
 use here_core::transfer::{collect_chunked_into, CollectScratch};
 use here_core::{ReplicationConfig, Scenario};
 use here_hypervisor::dirty::DirtyBitmap;
@@ -54,11 +53,11 @@ pub struct ObserveOutput {
     pub rounds: u32,
     /// Encode lanes in the overhead comparison.
     pub lanes: u32,
-    /// Median 8-lane encode wall time through the uninstrumented entry
-    /// point, milliseconds.
+    /// Median 8-lane encode wall time with its lane walls discarded,
+    /// milliseconds.
     pub baseline_ms: f64,
-    /// The same encode through the timed entry point with all telemetry
-    /// hooks live, milliseconds.
+    /// The same encode with all telemetry hooks fed from its lane walls,
+    /// milliseconds.
     pub instrumented_ms: f64,
     /// `(instrumented - baseline) / baseline`, percent. Negative values
     /// mean the difference drowned in host noise.
@@ -140,6 +139,12 @@ pub fn run_observe(scale: Scale) -> ObserveOutput {
     let stage_hist = registry.histogram("bench_stage_nanos", "whole-encode wall");
     let mut flight = FlightRecorder::new(1024);
 
+    let plan = EncodePlan {
+        lanes: OVERHEAD_LANES,
+        mode: PayloadMode::Materialized,
+        chunk_pages: None,
+        window: None,
+    };
     let mut pool = BufferPool::new();
     let lane_pool = LanePool::new();
     let mut baseline_samples = Vec::with_capacity(rounds as usize);
@@ -148,13 +153,10 @@ pub fn run_observe(scale: Scale) -> ObserveOutput {
         let measured = round > 0;
 
         let t = Instant::now();
-        let segments = encode_pages_parallel(
-            &delta,
-            OVERHEAD_LANES,
-            PayloadMode::Materialized,
-            &mut pool,
-            &lane_pool,
-        );
+        let mut segments = Vec::new();
+        encode_pages_round(&delta, &plan, &mut pool, &lane_pool, |_, seg| {
+            segments.push(seg)
+        });
         if measured {
             baseline_samples.push(t.elapsed().as_secs_f64());
         }
@@ -163,13 +165,10 @@ pub fn run_observe(scale: Scale) -> ObserveOutput {
         }
 
         let t = Instant::now();
-        let (segments, walls) = encode_pages_parallel_timed(
-            &delta,
-            OVERHEAD_LANES,
-            PayloadMode::Materialized,
-            &mut pool,
-            &lane_pool,
-        );
+        let mut segments = Vec::new();
+        let (walls, _) = encode_pages_round(&delta, &plan, &mut pool, &lane_pool, |_, seg| {
+            segments.push(seg)
+        });
         for (lane, wall) in walls.iter().enumerate() {
             lane_hist.observe(*wall);
             flight.record(FlightEvent::EncodeLane {

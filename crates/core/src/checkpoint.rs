@@ -100,7 +100,6 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
         duration,
         seed,
         failure,
-        stop_when_workload_done,
         load_during_seed,
         warmup,
         warmup_under_load,
@@ -219,7 +218,7 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
                             }
                         }
                     }
-                    run_on_replica(&mut session, end, stop_when_workload_done)?;
+                    run_on_replica(&mut session, end)?;
                     break 'outer;
                 }
                 // Exploit repelled or guest-only: the epoch continues.
@@ -227,10 +226,7 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
             }
         }
 
-        session.advance(
-            epoch_end.saturating_duration_since(session.clock),
-            stop_when_workload_done,
-        );
+        session.advance(epoch_end.saturating_duration_since(session.clock), true);
         match do_checkpoint(&mut session, t) {
             Ok(()) => {}
             Err(CoreError::InjectedPrimaryFault {
@@ -245,12 +241,12 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
                 let record = session.failover(session.clock)?;
                 session.clock = record.resumed_at;
                 failover_record = Some(record);
-                run_on_replica(&mut session, end, stop_when_workload_done)?;
+                run_on_replica(&mut session, end)?;
                 break 'outer;
             }
             Err(e) => return Err(e),
         }
-        if stop_when_workload_done && session.workload.is_done() {
+        if session.workload.is_done() {
             break;
         }
     }
@@ -260,11 +256,7 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
 
 /// After a failover the workload continues on the activated replica,
 /// unreplicated (the secondary has no further peer).
-fn run_on_replica(
-    session: &mut Session,
-    end: SimTime,
-    stop_when_workload_done: bool,
-) -> CoreResult<()> {
+fn run_on_replica(session: &mut Session, end: SimTime) -> CoreResult<()> {
     session.buffering = false;
     while session.clock < end {
         let slice = end
@@ -284,7 +276,7 @@ fn run_on_replica(
             session.latencies.observe(latency.as_secs_f64());
         }
         session.clock += slice;
-        if stop_when_workload_done && session.workload.is_done() {
+        if session.workload.is_done() {
             break;
         }
     }

@@ -1,26 +1,27 @@
 //! The zero-copy, work-stealing, pipelined checkpoint data plane.
 //!
-//! PR 1 made the *harvest* side genuinely threaded and PR 2 made encode
-//! zero-copy; this revision makes encode genuinely parallel and lets it
-//! overlap the transfer stage. Three pieces:
+//! One path per direction:
 //!
-//! - [`LanePool`] — a persistent work-stealing pool owned by
+//! - **Encode** — [`encode_pages_round`] is the only encode entry point.
+//!   It splits a delta's pages into tasks per an [`EncodePlan`] and runs
+//!   them on [`LanePool`], a persistent work-stealing pool owned by
 //!   [`CheckpointPools`]. Worker threads are spawned once and parked
-//!   between checkpoints (no per-epoch `thread::scope` spawn/join).
-//!   Each encode round splits its pages into tasks on per-lane queues
-//!   (round-robin by task index, so a lane re-encodes the same memory
-//!   regions epoch after epoch — warm affinity); a lane that drains its
-//!   own queue steals from the back of the fullest other lane.
-//! - **Chunked framing** — a round's tasks are either the legacy
-//!   one-record-per-lane shards (`chunk_pages: None`, byte-identical to
-//!   the PR 2 wire format) or fixed-size page chunks, one record per
-//!   chunk, which gives the pool enough tasks to actually steal.
-//! - **Streamed hand-off** — completed task segments pass through a
-//!   bounded in-order window to a consumer running on the calling
-//!   thread ([`EncodePlan::window`]), so transfer/decode work proceeds
-//!   while later chunks are still encoding. Segments are always
-//!   delivered in task order, so the assembled stream is byte-identical
-//!   to the barrier path at every window depth.
+//!   between checkpoints. Tasks go round-robin onto per-lane queues, so a
+//!   lane re-encodes the same memory regions epoch after epoch; a lane
+//!   that drains its own queue steals from the back of the fullest other
+//!   lane. Tasks are either legacy one-record-per-lane shards
+//!   (`chunk_pages: None`) or fixed-size page chunks, one record per
+//!   chunk. Deltas under [`PARALLEL_ENCODE_MIN_PAGES`] collapse to one
+//!   lane inside the round. Completed segments are delivered strictly in
+//!   task order — after the barrier, or through a bounded in-order window
+//!   ([`EncodePlan::window`]) so transfer/decode overlaps the encode — so
+//!   the assembled stream is byte-identical at every window depth.
+//! - **Receive** — every receive path (the session apply,
+//!   [`decode_and_restore`] and [`SegmentRestorer`]) is two-phase. It
+//!   decodes and verifies its whole input into staged `(page, version)`
+//!   entries through one walk, and installs them only after that walk
+//!   succeeded. A corrupt record therefore never leaves earlier records'
+//!   pages on the replica.
 //!
 //! Allocation lifecycle: [`BufferPool`] hands out recycled `BytesMut`
 //! buffers and reclaims them from spent `Bytes` segments via
@@ -40,7 +41,7 @@ use bytes::{Bytes, BytesMut};
 
 use here_hypervisor::memory::{materialize_content_into, GuestMemory, PageVersion, PAGE_SIZE};
 use here_hypervisor::vcpu::VcpuStateBlob;
-use here_hypervisor::PageId;
+use here_hypervisor::{HvError, PageId};
 use here_vmstate::cir::CpuStateCir;
 use here_vmstate::simd;
 use here_vmstate::translate::{StateTranslator, TranslateResult};
@@ -130,11 +131,6 @@ impl BufferPool {
         }
     }
 
-    /// Returns a mutable buffer directly (e.g. one that was never frozen).
-    pub fn recycle_mut(&mut self, buf: BytesMut) {
-        self.free.push(buf);
-    }
-
     /// Buffers currently pooled.
     pub fn pooled(&self) -> usize {
         self.free.len()
@@ -151,10 +147,13 @@ impl BufferPool {
     }
 }
 
-/// How one encode round is split, framed and handed off.
+/// How one encode round is split, framed and handed off — the whole
+/// configuration of [`encode_pages_round`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodePlan {
-    /// Encode lanes (parallel workers) for the round.
+    /// Encode lanes (parallel workers) for the round. The round itself
+    /// clamps this to one lane for deltas under
+    /// [`PARALLEL_ENCODE_MIN_PAGES`].
     pub lanes: u32,
     /// Record payload mode.
     pub mode: PayloadMode,
@@ -169,18 +168,6 @@ pub struct EncodePlan {
     /// consumer (backpressure), and the consumer sees each segment as
     /// soon as it and all its predecessors are done.
     pub window: Option<u32>,
-}
-
-impl EncodePlan {
-    /// The legacy plan: shard framing, barrier hand-off.
-    pub fn legacy(lanes: u32, mode: PayloadMode) -> Self {
-        EncodePlan {
-            lanes,
-            mode,
-            chunk_pages: None,
-            window: None,
-        }
-    }
 }
 
 /// Per-lane activity of one encode round.
@@ -728,15 +715,25 @@ fn plan_tasks(n: usize, plan: &EncodePlan, out: &mut Vec<(usize, usize)>) {
     }
 }
 
-/// Encodes a delta's pages per `plan`, delivering frozen segments
-/// strictly in task (= ascending frame) order through `on_segment`.
-/// Returns per-task encode walls (host ns) and the round's lane stats.
+/// Encodes a delta's pages per `plan` — the data plane's only encode
+/// entry point — delivering frozen segments strictly in task (= ascending
+/// frame) order through `on_segment`. Returns per-task encode walls
+/// (host ns; task 0's wall also carries the task-split cost, so the walls
+/// sum to the whole encode) and the round's lane stats.
+///
+/// Deltas under [`PARALLEL_ENCODE_MIN_PAGES`] are encoded on one lane
+/// whatever `plan.lanes` says: the thread wake-ups would cost more than
+/// they save, and under legacy framing this also means one record.
 ///
 /// With `plan.window: None` the caller participates as lane 0 and
 /// `on_segment` runs after the barrier; with `Some(d)` the caller is the
 /// consumer of a bounded `d`-chunk window and `on_segment` overlaps the
 /// remaining encode work. Small rounds (a single task, or a single
 /// lane with no window) are encoded inline without touching the pool.
+///
+/// In `Materialized` mode the lanes also materialize every 4 KiB page
+/// image (into a per-lane stack buffer — no per-page heap traffic) and
+/// fold it into the record's streaming checksum as it is appended.
 ///
 /// # Panics
 ///
@@ -751,6 +748,14 @@ pub fn encode_pages_round(
     assert!(plan.lanes >= 1, "at least one encode lane is required");
     let split_start = Instant::now();
     let entries = delta.entries();
+    let plan = &EncodePlan {
+        lanes: if entries.len() < PARALLEL_ENCODE_MIN_PAGES {
+            1
+        } else {
+            plan.lanes
+        },
+        ..*plan
+    };
     let mut scratch = {
         let mut s = lanes.scratch.lock().expect("scratch lock");
         RoundScratch {
@@ -836,62 +841,6 @@ pub fn encode_pages_round(
     (walls, stats)
 }
 
-/// Encodes a delta's pages as one length-framed page-batch record per
-/// worker lane, concurrently, into pooled buffers. Returns the frozen
-/// segments in shard (= ascending frame) order, ready to be spliced into a
-/// [`ScatterStream`].
-///
-/// Legacy shard framing: byte-identical to the pre-pool encoder at every
-/// lane count. In `Materialized` mode the lanes also materialize every
-/// 4 KiB page image (into a per-lane stack buffer — no per-page heap
-/// traffic) and fold it into the record's streaming checksum as it is
-/// appended.
-///
-/// # Panics
-///
-/// Panics if `lanes` is zero.
-pub fn encode_pages_parallel(
-    delta: &MemoryDelta,
-    lanes: u32,
-    mode: PayloadMode,
-    pool: &mut BufferPool,
-    lane_pool: &LanePool,
-) -> Vec<Bytes> {
-    encode_pages_parallel_timed(delta, lanes, mode, pool, lane_pool).0
-}
-
-/// [`encode_pages_parallel`] plus per-shard wall-clock timings: result
-/// `.1` holds, for each returned segment, the host nanoseconds spent
-/// encoding it (shard 0's wall also carries the task-split/dispatch
-/// cost, so the walls sum to the whole encode). The telemetry layer
-/// feeds these into the `here_encode_lane_wall_nanos` histogram and the
-/// flight recorder, making lane imbalance observable without
-/// re-instrumenting call sites.
-///
-/// # Panics
-///
-/// Panics if `lanes` is zero.
-pub fn encode_pages_parallel_timed(
-    delta: &MemoryDelta,
-    lanes: u32,
-    mode: PayloadMode,
-    pool: &mut BufferPool,
-    lane_pool: &LanePool,
-) -> (Vec<Bytes>, Vec<u64>) {
-    assert!(lanes >= 1, "at least one encode lane is required");
-    let lanes = if delta.len() < PARALLEL_ENCODE_MIN_PAGES {
-        1
-    } else {
-        lanes
-    };
-    let plan = EncodePlan::legacy(lanes, mode);
-    let mut segments = Vec::new();
-    let (walls, _) = encode_pages_round(delta, &plan, pool, lane_pool, |_, seg| {
-        segments.push(seg);
-    });
-    (segments, walls)
-}
-
 fn blob_to_cir(
     blob: &VcpuStateBlob,
     translator: Option<&StateTranslator>,
@@ -944,33 +893,47 @@ pub fn translate_vcpus_parallel(
     Ok(out)
 }
 
-fn install_record(
-    record: Record,
-    replica: &mut GuestMemory,
+/// Stages one decoded record's pages as `(page, version)` entries — the
+/// single walk from page records to staged entries that every receive
+/// path shares (the session apply, [`decode_and_restore`] and
+/// [`SegmentRestorer`]). Returns how many pages the record carried (zero
+/// for a record without pages).
+///
+/// Nothing is installed. Every frame is range-checked against `replica`,
+/// and with `verify_content` set every payload that carries bytes is
+/// checked against the deterministic image its `(frame, version)` record
+/// implies — a v3 delta payload against `replica`'s current copy of the
+/// page. A caller that stages its whole input before installing therefore
+/// never half-applies an epoch.
+///
+/// # Errors
+///
+/// A hypervisor error for an out-of-range frame, a wire error for a
+/// malformed delta payload, and [`CoreError::InvalidScenario`] on a
+/// content mismatch.
+pub(crate) fn stage_page_record(
+    record: &Record,
+    replica: &GuestMemory,
     verify_content: bool,
-    expected: &mut [u8; PAGE_SIZE as usize],
+    staged: &mut Vec<(PageId, PageVersion)>,
 ) -> CoreResult<u64> {
-    let mut pages_installed = 0u64;
+    let before = staged.len();
+    let mut expected = [0u8; PAGE_SIZE as usize];
+    let mut diverged = |page: PageId, rec: PageVersion, got: &[u8]| {
+        materialize_content_into(page, rec, &mut expected);
+        !simd::active().bytes_equal(got, &expected[..])
+    };
     match record {
-        Record::PageBatch(batch) => {
-            for &(page, rec) in batch.entries() {
-                replica.install_page(page, rec)?;
-                pages_installed += 1;
-            }
-        }
+        Record::PageBatch(batch) => staged.extend_from_slice(batch.entries()),
         Record::PageDataBatch(batch) => {
             for &(page, rec, ref content) in batch.pages() {
-                if verify_content {
-                    materialize_content_into(page, rec, expected);
-                    if !simd::active().bytes_equal(&content[..], &expected[..]) {
-                        return Err(CoreError::InvalidScenario(format!(
-                            "page {} content diverged from its version record",
-                            page.frame()
-                        )));
-                    }
+                if verify_content && diverged(page, rec, &content[..]) {
+                    return Err(CoreError::InvalidScenario(format!(
+                        "page {} content diverged from its version record",
+                        page.frame()
+                    )));
                 }
-                replica.install_page(page, rec)?;
-                pages_installed += 1;
+                staged.push((page, rec));
             }
         }
         Record::PageColumns(batch) => {
@@ -982,15 +945,13 @@ fn install_record(
                     // the new `(frame, version)` record mandates.
                     let mut base = [0u8; PAGE_SIZE as usize];
                     let base_ref = if matches!(payload, PagePayload::Delta(_)) {
-                        let prev = replica.page(*page)?;
-                        materialize_content_into(*page, prev, &mut base);
+                        materialize_content_into(*page, replica.page(*page)?, &mut base);
                         Some(&base[..])
                     } else {
                         None
                     };
                     if let Some(got) = payload.materialize(base_ref)? {
-                        materialize_content_into(*page, *rec, expected);
-                        if !simd::active().bytes_equal(&got, &expected[..]) {
+                        if diverged(*page, *rec, &got) {
                             return Err(CoreError::InvalidScenario(format!(
                                 "page {} columnar payload diverged from its version record",
                                 page.frame()
@@ -998,13 +959,31 @@ fn install_record(
                         }
                     }
                 }
-                replica.install_page(*page, *rec)?;
-                pages_installed += 1;
+                staged.push((*page, *rec));
             }
         }
         _ => {}
     }
-    Ok(pages_installed)
+    let limit = replica.num_pages();
+    if let Some(&(page, _)) = staged[before..].iter().find(|(p, _)| p.frame() >= limit) {
+        return Err(HvError::PageOutOfRange {
+            page: page.frame(),
+            limit,
+        }
+        .into());
+    }
+    Ok((staged.len() - before) as u64)
+}
+
+/// Installs staged entries in order (later entries win on overlap).
+pub(crate) fn install_staged(
+    replica: &mut GuestMemory,
+    staged: &[(PageId, PageVersion)],
+) -> CoreResult<()> {
+    for &(page, rec) in staged {
+        replica.install_page(page, rec)?;
+    }
+    Ok(())
 }
 
 /// Decodes a (possibly scattered) checkpoint stream and installs every
@@ -1013,36 +992,41 @@ fn install_record(
 /// deterministic image its `(frame, version)` record implies, proving the
 /// bytes survived encode → splice → decode intact.
 ///
+/// Two-phase: the whole stream is decoded and verified before the first
+/// page installs, so on error `replica` is untouched.
+///
 /// Returns the number of pages installed.
 ///
 /// # Errors
 ///
 /// Wire errors on corrupt streams, hypervisor errors on out-of-range
-/// installs, and an [`CoreError::InvalidScenario`] on a content mismatch.
+/// frames, and an [`CoreError::InvalidScenario`] on a content mismatch.
 pub fn decode_and_restore(
     stream: ScatterStream,
     replica: &mut GuestMemory,
     verify_content: bool,
 ) -> CoreResult<u64> {
     let mut dec = StreamDecoder::new_scattered(stream)?;
-    let mut pages_installed = 0u64;
-    let mut expected = [0u8; PAGE_SIZE as usize];
+    let mut staged = Vec::new();
     while let Some(record) = dec.next_record()? {
-        pages_installed += install_record(record, replica, verify_content, &mut expected)?;
+        stage_page_record(&record, replica, verify_content, &mut staged)?;
     }
-    Ok(pages_installed)
+    install_staged(replica, &staged)?;
+    Ok(staged.len() as u64)
 }
 
 /// Incremental receive side for the streamed encode path: accepts lane
 /// segments one at a time, decoding and installing each as it arrives —
 /// this is what lets decode/transfer work overlap the still-running
 /// encode lanes. Each accepted segment must hold complete records (which
-/// every segment produced by [`encode_pages_round`] does).
+/// every segment produced by [`encode_pages_round`] does), and installs
+/// as a unit: a segment that fails anywhere installs none of its pages.
 #[derive(Debug)]
 pub struct SegmentRestorer<'a> {
     replica: &'a mut GuestMemory,
     verify_content: bool,
     preamble: Bytes,
+    staged: Vec<(PageId, PageVersion)>,
     installed: u64,
 }
 
@@ -1061,26 +1045,30 @@ impl<'a> SegmentRestorer<'a> {
             replica,
             verify_content,
             preamble: head.freeze(),
+            staged: Vec::new(),
             installed: 0,
         }
     }
 
-    /// Decodes one segment and installs its pages. The caller keeps its
-    /// `Bytes` handle, so once this returns (all record slices dropped)
-    /// the segment can be recycled into a [`BufferPool`].
+    /// Decodes and verifies one whole segment, then installs its pages.
+    /// The caller keeps its `Bytes` handle, so once this returns (all
+    /// record slices dropped) the segment can be recycled into a
+    /// [`BufferPool`].
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`decode_and_restore`].
+    /// Same failure modes as [`decode_and_restore`]; on error no page of
+    /// this segment is installed.
     pub fn accept(&mut self, segment: &Bytes) -> CoreResult<()> {
         let mut stream = ScatterStream::from(self.preamble.clone());
         stream.push(segment.clone());
         let mut dec = StreamDecoder::new_scattered(stream)?;
-        let mut expected = [0u8; PAGE_SIZE as usize];
+        self.staged.clear();
         while let Some(record) = dec.next_record()? {
-            self.installed +=
-                install_record(record, self.replica, self.verify_content, &mut expected)?;
+            stage_page_record(&record, self.replica, self.verify_content, &mut self.staged)?;
         }
+        install_staged(self.replica, &self.staged)?;
+        self.installed += self.staged.len() as u64;
         Ok(())
     }
 
@@ -1098,7 +1086,7 @@ mod tests {
     use here_hypervisor::vcpu::XenVcpuState;
     use here_hypervisor::PageId;
     use here_sim_core::rate::ByteSize;
-    use here_vmstate::wire::write_preamble;
+    use here_vmstate::wire::VERSION_V3;
 
     fn delta_of(n: u64) -> MemoryDelta {
         (0..n)
@@ -1114,9 +1102,35 @@ mod tests {
             .collect()
     }
 
+    /// Barrier-encodes `delta` and collects the segments in order.
+    fn encode_segments(
+        delta: &MemoryDelta,
+        plan: &EncodePlan,
+        pool: &mut BufferPool,
+        lp: &LanePool,
+    ) -> Vec<Bytes> {
+        let mut segments = Vec::new();
+        encode_pages_round(delta, plan, pool, lp, |_, seg| segments.push(seg));
+        segments
+    }
+
+    /// Shard-framed barrier plan at `lanes`.
+    fn shards(lanes: u32, mode: PayloadMode) -> EncodePlan {
+        EncodePlan {
+            lanes,
+            mode,
+            chunk_pages: None,
+            window: None,
+        }
+    }
+
     fn splice(segments: Vec<Bytes>) -> ScatterStream {
+        splice_versioned(segments, VERSION)
+    }
+
+    fn splice_versioned(segments: Vec<Bytes>, version: u16) -> ScatterStream {
         let mut head = BytesMut::new();
-        write_preamble(&mut head);
+        write_preamble_versioned(&mut head, version);
         let mut stream = ScatterStream::from(head.freeze());
         for seg in segments {
             stream.push(seg);
@@ -1153,17 +1167,16 @@ mod tests {
         let delta = delta_of(4096);
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let reference = decoded_pages(splice(encode_pages_parallel(
+        let reference = decoded_pages(splice(encode_segments(
             &delta,
-            1,
-            PayloadMode::Materialized,
+            &shards(1, PayloadMode::Materialized),
             &mut pool,
             &lp,
         )));
         assert_eq!(reference.len(), delta.len());
         for lanes in [2u32, 4, 8] {
-            let segs =
-                encode_pages_parallel(&delta, lanes, PayloadMode::Materialized, &mut pool, &lp);
+            let plan = shards(lanes, PayloadMode::Materialized);
+            let segs = encode_segments(&delta, &plan, &mut pool, &lp);
             let got = decoded_pages(splice(segs));
             assert!(got == reference, "lanes={lanes} decoded differently");
         }
@@ -1174,7 +1187,12 @@ mod tests {
         let delta = delta_of(2048);
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let segs = encode_pages_parallel(&delta, 4, PayloadMode::Materialized, &mut pool, &lp);
+        let segs = encode_segments(
+            &delta,
+            &shards(4, PayloadMode::Materialized),
+            &mut pool,
+            &lp,
+        );
         let mut replica = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
         let installed = decode_and_restore(splice(segs), &mut replica, true).unwrap();
         assert_eq!(installed, delta.len() as u64);
@@ -1188,7 +1206,7 @@ mod tests {
         let delta = delta_of(2048);
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let segs = encode_pages_parallel(&delta, 4, PayloadMode::Metadata, &mut pool, &lp);
+        let segs = encode_segments(&delta, &shards(4, PayloadMode::Metadata), &mut pool, &lp);
         let mut replica = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
         let installed = decode_and_restore(splice(segs), &mut replica, false).unwrap();
         assert_eq!(installed, delta.len() as u64);
@@ -1200,7 +1218,7 @@ mod tests {
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
         for round in 0..4 {
-            let segs = encode_pages_parallel(&delta, 4, PayloadMode::Metadata, &mut pool, &lp);
+            let segs = encode_segments(&delta, &shards(4, PayloadMode::Metadata), &mut pool, &lp);
             assert_eq!(segs.len(), 4);
             for seg in segs {
                 assert!(pool.recycle(seg), "round {round}: segment not reclaimed");
@@ -1217,13 +1235,15 @@ mod tests {
         let delta = delta_of(4096);
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let (segs, walls) =
-            encode_pages_parallel_timed(&delta, 4, PayloadMode::Metadata, &mut pool, &lp);
+        let plan = shards(4, PayloadMode::Metadata);
+        let mut segs = Vec::new();
+        let (walls, _) = encode_pages_round(&delta, &plan, &mut pool, &lp, |_, seg| {
+            segs.push(seg);
+        });
         assert_eq!(segs.len(), 4);
         assert_eq!(walls.len(), 4);
-        // The timed and untimed entry points must produce identical bytes.
-        let plain = encode_pages_parallel(&delta, 4, PayloadMode::Metadata, &mut pool, &lp);
-        assert_eq!(segs, plain);
+        // Re-encoding the same delta must produce identical bytes.
+        assert_eq!(segs, encode_segments(&delta, &plan, &mut pool, &lp));
     }
 
     #[test]
@@ -1231,8 +1251,16 @@ mod tests {
         let delta = delta_of(16);
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let segs = encode_pages_parallel(&delta, 8, PayloadMode::Metadata, &mut pool, &lp);
-        assert_eq!(segs.len(), 1);
+        // Eight lanes requested, but a delta under the parallel threshold
+        // is clamped to one lane inside the round — and so to one record.
+        for window in [None, Some(4)] {
+            let plan = EncodePlan {
+                window,
+                ..shards(8, PayloadMode::Metadata)
+            };
+            let segs = encode_segments(&delta, &plan, &mut pool, &lp);
+            assert_eq!(segs.len(), 1);
+        }
         // The inline path never wakes the pool.
         assert_eq!(lp.workers_spawned(), 0);
         assert_eq!(lp.totals().rounds, 0);
@@ -1244,7 +1272,7 @@ mod tests {
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
         for _ in 0..3 {
-            let segs = encode_pages_parallel(&delta, 4, PayloadMode::Metadata, &mut pool, &lp);
+            let segs = encode_segments(&delta, &shards(4, PayloadMode::Metadata), &mut pool, &lp);
             for seg in segs {
                 pool.recycle(seg);
             }
@@ -1353,16 +1381,78 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_frames_fail_before_any_install() {
+        // Frames 0..4094 against a 2048-page replica: the first shard is
+        // in range, the second is not, and neither may land.
+        let delta = delta_of(2048);
+        let mut pool = BufferPool::new();
+        let lp = LanePool::new();
+        let segs = encode_segments(&delta, &shards(2, PayloadMode::Metadata), &mut pool, &lp);
+        assert_eq!(segs.len(), 2);
+        let pristine = GuestMemory::new(ByteSize::from_mib(8)).unwrap();
+        let mut replica = GuestMemory::new(pristine.size()).unwrap();
+        assert!(decode_and_restore(splice(segs), &mut replica, false).is_err());
+        assert!(replica.content_equals(&pristine));
+    }
+
+    #[test]
     fn corrupted_payload_fails_restore() {
+        // Each case corrupts the *second* page record of a multi-record
+        // stream. The restore must fail and leave the replica exactly as
+        // it was: the first record's pages must not have landed either.
         let delta = delta_of(PARALLEL_ENCODE_MIN_PAGES as u64 * 2);
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let segs = encode_pages_parallel(&delta, 2, PayloadMode::Materialized, &mut pool, &lp);
-        let mut flipped = segs[1].to_vec();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        let stream = splice(vec![segs[0].clone(), Bytes::from(flipped)]);
-        let mut replica = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
-        assert!(decode_and_restore(stream, &mut replica, true).is_err());
+        let pristine = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
+        let cases = [
+            (None, PayloadMode::Materialized, VERSION),
+            (Some(64), PayloadMode::Materialized, VERSION),
+            (
+                Some(64),
+                PayloadMode::Columnar { base_epoch: 0 },
+                VERSION_V3,
+            ),
+        ];
+        for (chunk_pages, mode, version) in cases {
+            let plan = EncodePlan {
+                chunk_pages,
+                ..shards(2, mode)
+            };
+            let mut segs = encode_segments(&delta, &plan, &mut pool, &lp);
+            assert!(segs.len() >= 2, "{plan:?}: need a second record");
+            let mut flipped = segs[1].to_vec();
+            let mid = flipped.len() / 2;
+            flipped[mid] ^= 0x40;
+            segs[1] = Bytes::from(flipped);
+            let mut replica = GuestMemory::new(pristine.size()).unwrap();
+            let stream = splice_versioned(segs, version);
+            assert!(
+                decode_and_restore(stream, &mut replica, true).is_err(),
+                "{plan:?}: corrupt stream restored"
+            );
+            assert!(
+                replica.content_equals(&pristine),
+                "{plan:?}: corrupt stream half-applied"
+            );
+        }
+
+        // A well-framed segment whose second page's bytes disagree with
+        // its version record: the mismatch surfaces partway through the
+        // record, after the first page was already decoded.
+        let mut segment = BytesMut::new();
+        let mut writer = PageDataWriter::new(&mut segment);
+        for (i, &(page, rec)) in delta.entries()[..2].iter().enumerate() {
+            let mut content = [0u8; PAGE_SIZE as usize];
+            materialize_content_into(page, rec, &mut content);
+            content[0] ^= i as u8;
+            writer.push(page, rec, &content);
+        }
+        writer.finish();
+        let mut replica = GuestMemory::new(pristine.size()).unwrap();
+        let mut restorer = SegmentRestorer::new(&mut replica, true);
+        assert!(restorer.accept(&segment.freeze()).is_err());
+        assert_eq!(restorer.installed(), 0);
+        drop(restorer);
+        assert!(replica.content_equals(&pristine));
     }
 }

@@ -78,7 +78,6 @@ pub struct Scenario {
     pub(crate) duration: SimDuration,
     pub(crate) seed: u64,
     pub(crate) failure: Option<FailurePlan>,
-    pub(crate) stop_when_workload_done: bool,
     pub(crate) load_during_seed: bool,
     pub(crate) warmup: SimDuration,
     pub(crate) warmup_under_load: bool,
@@ -97,7 +96,6 @@ pub struct ScenarioBuilder {
     duration: SimDuration,
     seed: u64,
     failure: Option<FailurePlan>,
-    stop_when_workload_done: bool,
     load_during_seed: bool,
     warmup: SimDuration,
     warmup_under_load: bool,
@@ -120,7 +118,6 @@ impl Scenario {
             duration: SimDuration::from_secs(60),
             seed: 42,
             failure: None,
-            stop_when_workload_done: true,
             load_during_seed: false,
             warmup: SimDuration::ZERO,
             warmup_under_load: false,
@@ -236,13 +233,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Keep running even after a bounded workload finishes (default is to
-    /// stop at completion).
-    pub fn run_full_duration(mut self) -> Self {
-        self.stop_when_workload_done = false;
-        self
-    }
-
     /// Runs the workload during the seeding migration too (Fig. 6
     /// migrates a VM that is already under load). By default the workload
     /// starts only once replication is established — benchmarks measure
@@ -327,7 +317,6 @@ impl ScenarioBuilder {
             duration: self.duration,
             seed: self.seed,
             failure: self.failure,
-            stop_when_workload_done: self.stop_when_workload_done,
             load_during_seed: self.load_during_seed,
             warmup: self.warmup,
             warmup_under_load: self.warmup_under_load,
@@ -347,7 +336,6 @@ fn run_unprotected(scenario: Scenario) -> RunReport {
         mut workload,
         duration,
         seed,
-        stop_when_workload_done,
         ..
     } = scenario;
     let mut xen = XenHypervisor::new(HOST_MEMORY);
@@ -370,7 +358,7 @@ fn run_unprotected(scenario: Scenario) -> RunReport {
             latencies.observe(latency.as_secs_f64());
         }
         clock += slice;
-        if stop_when_workload_done && workload.is_done() {
+        if workload.is_done() {
             break;
         }
     }

@@ -87,7 +87,7 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
     // Iterative pre-copy.
     let mut iter = 1u32;
     loop {
-        let snapshot = session.take_dirty_snapshot();
+        let snapshot = session.take_dirty_snapshot()?;
         let dirty_count = snapshot.count();
         if dirty_count <= dirty_threshold || iter >= max_iterations {
             // Final stop-and-copy: pause, send remaining dirty pages

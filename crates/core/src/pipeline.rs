@@ -227,7 +227,7 @@ impl<'s> Paused<'s> {
             mut pause,
         } = self;
         session.chaos_primary_fault(seq, Stage::Harvest)?;
-        let snapshot = session.take_dirty_snapshot();
+        let snapshot = session.take_dirty_snapshot()?;
         // The harvest reuses the session's pooled delta and per-lane
         // scratch: steady state allocates nothing per checkpoint.
         let mut delta = std::mem::take(&mut session.pools.delta);

@@ -38,8 +38,8 @@ use here_workloads::traits::Workload;
 use crate::chaos::{ChaosState, FaultPlan, TransferFault};
 use crate::config::ReplicationConfig;
 use crate::dataplane::{
-    encode_pages_parallel_timed, encode_pages_round, translate_vcpus_parallel, CheckpointPools,
-    EncodePlan, PayloadMode, PARALLEL_ENCODE_MIN_PAGES,
+    encode_pages_round, install_staged, stage_page_record, translate_vcpus_parallel,
+    CheckpointPools, EncodePlan, PayloadMode,
 };
 use crate::devmgr::DeviceManager;
 use crate::error::{CoreError, CoreResult};
@@ -553,10 +553,14 @@ impl Session {
     /// Snapshot-and-clear the primary's dirty bitmap, returning the
     /// snapshot; the harvest also drains the PML rings so they do not grow
     /// without bound. Delegates to the hypervisor's harvest primitive.
-    pub(crate) fn take_dirty_snapshot(&mut self) -> here_hypervisor::dirty::DirtyBitmap {
-        self.primary
-            .snapshot_dirty(self.pvm)
-            .expect("primary must be alive at checkpoint")
+    ///
+    /// # Errors
+    ///
+    /// A hypervisor error if the primary VM is gone.
+    pub(crate) fn take_dirty_snapshot(
+        &mut self,
+    ) -> CoreResult<here_hypervisor::dirty::DirtyBitmap> {
+        Ok(self.primary.snapshot_dirty(self.pvm)?)
     }
 
     /// Encodes a checkpoint stream: the delta, every vCPU's state
@@ -564,9 +568,9 @@ impl Session {
     /// device identities. This is the *send side* of the data plane — real
     /// bytes are produced and checksummed.
     ///
-    /// The delta is sharded across encode lanes: scoped workers each frame
-    /// their own page-batch record into a pooled buffer, and the frozen
-    /// lane segments are spliced scatter-gather style into the returned
+    /// The delta goes through one [`encode_pages_round`] built from the
+    /// config: pool lanes frame its page records into pooled buffers, and
+    /// the frozen segments are spliced scatter-gather style into the returned
     /// [`ScatterStream`] — no concatenation, no re-sort. vCPU translation
     /// fans out across the same lanes. Buffers come back to the pool via
     /// [`Session::recycle_stream`] once the transfer lands.
@@ -633,45 +637,23 @@ impl Session {
         // framing and the streamed window are opt-in: with both knobs off
         // this is the legacy shard path, byte-identical to prior releases.
         let at_nanos = self.rel(self.clock).as_nanos();
-        let chunk_pages = self.cfg.encode_chunk_pages;
-        let window = self.cfg.overlap_channel_depth;
-        let mut page_bytes = 0u64;
-        let lane_walls = if chunk_pages.is_some() || window.is_some() {
-            let plan = EncodePlan {
-                lanes: if delta.len() < PARALLEL_ENCODE_MIN_PAGES {
-                    1
-                } else {
-                    lanes
-                },
-                mode,
-                chunk_pages,
-                window,
-            };
-            let (walls, _stats) = encode_pages_round(
-                delta,
-                &plan,
-                &mut self.pools.buffers,
-                &self.pools.lanes,
-                |_, segment| {
-                    page_bytes += segment.len() as u64;
-                    stream.push(segment)
-                },
-            );
-            walls
-        } else {
-            let (segments, walls) = encode_pages_parallel_timed(
-                delta,
-                lanes,
-                mode,
-                &mut self.pools.buffers,
-                &self.pools.lanes,
-            );
-            for segment in segments {
-                page_bytes += segment.len() as u64;
-                stream.push(segment);
-            }
-            walls
+        let plan = EncodePlan {
+            lanes,
+            mode,
+            chunk_pages: self.cfg.encode_chunk_pages,
+            window: self.cfg.overlap_channel_depth,
         };
+        let mut page_bytes = 0u64;
+        let (lane_walls, _stats) = encode_pages_round(
+            delta,
+            &plan,
+            &mut self.pools.buffers,
+            &self.pools.lanes,
+            |_, segment| {
+                page_bytes += segment.len() as u64;
+                stream.push(segment)
+            },
+        );
         if canonical {
             for (lane, &wall) in lane_walls.iter().enumerate() {
                 self.telemetry
@@ -735,24 +717,11 @@ impl Session {
         replica: u32,
     ) -> CoreResult<()> {
         // Phase 1: decode + validate, touching nothing of the replica.
-        let kind = self.replicas.get(replica).kind();
         let member = self.replicas.get_mut(replica);
-        let negotiated = member.wire_version;
-        let delta_base = member.pools.shadow.epoch();
-        let may_rebase = !member.backlog.is_empty();
         let mut staged = std::mem::take(&mut member.pools.apply);
         staged.clear();
         let mut vcpus: Vec<(u32, VcpuStateBlob)> = Vec::new();
-        let validated = Self::decode_checkpoint(
-            stream,
-            kind,
-            &mut staged,
-            &mut vcpus,
-            seq,
-            negotiated,
-            delta_base,
-            may_rebase,
-        );
+        let validated = Self::decode_checkpoint(stream, member, seq, &mut staged, &mut vcpus);
         let rebase_to = match validated {
             Ok(rebase_to) => rebase_to,
             Err(e) => {
@@ -772,13 +741,9 @@ impl Session {
             // the shadow reconstructs the stream's delta base exactly.
             member.pools.shadow.rebase(&backlog, base);
         }
-        let vm = member.host.vm_mut(member.vm)?;
-        for &(page, rec) in backlog.entries() {
-            vm.memory_mut().install_page(page, rec)?;
-        }
-        for &(page, rec) in &staged {
-            vm.memory_mut().install_page(page, rec)?;
-        }
+        let memory = member.host.vm_mut(member.vm)?.memory_mut();
+        install_staged(memory, backlog.entries())?;
+        install_staged(memory, &staged)?;
         for (index, blob) in vcpus {
             member
                 .host
@@ -791,58 +756,45 @@ impl Session {
 
     /// Phase 1 of [`Session::apply_checkpoint`]: decodes `stream` into the
     /// staging buffers, validating every frame and the trailer cross-check,
-    /// without touching the replica.
+    /// without touching `member`'s memory.
     ///
-    /// The decoder is pinned to the replica's `negotiated` version — a
+    /// The decoder is pinned to the replica's negotiated version — a
     /// stream in any other version is a protocol violation
     /// ([`WireError::StaleVersion`](here_vmstate::WireError::StaleVersion)).
-    /// Columnar records must name `delta_base` as their delta base; a
-    /// newer base is accepted only when `may_rebase` (the replica holds
-    /// the missed epochs as parked backlog), and the accepted base comes
+    /// Columnar records must name the replica's shadow epoch as their
+    /// delta base; a newer base is accepted only when the replica holds
+    /// the missed epochs as parked backlog, and the accepted base comes
     /// back as `Ok(Some(base))` so the caller can fold the backlog into
     /// its shadow before installing.
-    #[allow(clippy::too_many_arguments)]
     fn decode_checkpoint(
         stream: ScatterStream,
-        kind: HypervisorKind,
+        member: &Replica,
+        seq: u64,
         staged: &mut Vec<(PageId, PageVersion)>,
         vcpus: &mut Vec<(u32, VcpuStateBlob)>,
-        seq: u64,
-        negotiated: u16,
-        delta_base: u64,
-        may_rebase: bool,
     ) -> CoreResult<Option<u64>> {
-        let mut dec = StreamDecoder::new_negotiated(stream, negotiated)?;
+        let delta_base = member.pools.shadow.epoch();
+        let may_rebase = !member.backlog.is_empty();
+        let memory = member.host.vm(member.vm)?.memory();
+        let mut dec = StreamDecoder::new_negotiated(stream, member.wire_version)?;
         let mut pages_seen = 0u64;
         let mut saw_trailer = false;
         let mut rebase_to: Option<u64> = None;
         while let Some(record) = dec.next_record()? {
+            if let Record::PageColumns(batch) = &record {
+                let base = rebase_to.unwrap_or(delta_base);
+                if batch.base_epoch() != base {
+                    if may_rebase && rebase_to.is_none() && batch.base_epoch() > delta_base {
+                        rebase_to = Some(batch.base_epoch());
+                    } else {
+                        batch.check_base(base)?;
+                    }
+                }
+            }
+            pages_seen += stage_page_record(&record, memory, false, staged)?;
             match record {
-                Record::CheckpointBegin { .. } | Record::StreamHeader { .. } => {}
-                Record::PageBatch(batch) => {
-                    pages_seen += batch.len() as u64;
-                    staged.extend(batch.entries().iter().copied());
-                }
-                Record::PageColumns(batch) => {
-                    let base = rebase_to.unwrap_or(delta_base);
-                    if batch.base_epoch() != base {
-                        if may_rebase && rebase_to.is_none() && batch.base_epoch() > delta_base {
-                            rebase_to = Some(batch.base_epoch());
-                        } else {
-                            batch.check_base(base)?;
-                        }
-                    }
-                    pages_seen += batch.len() as u64;
-                    staged.extend(batch.entries().iter().map(|&(page, rec, _)| (page, rec)));
-                }
-                Record::PageDataBatch(batch) => {
-                    pages_seen += batch.pages().len() as u64;
-                    for (page, rec, _content) in batch.pages() {
-                        staged.push((*page, *rec));
-                    }
-                }
                 Record::VcpuState { index, cir } => {
-                    let blob = match kind {
+                    let blob = match member.kind() {
                         HypervisorKind::Xen => {
                             VcpuStateBlob::Xen(XenVcpuState::from_arch(&cir.regs, cir.online))
                         }
@@ -852,10 +804,6 @@ impl Session {
                     };
                     vcpus.push((index, blob));
                 }
-                Record::Device(_) => {
-                    // Identities are checked on failover; the replica's own
-                    // device set is built by the device manager then.
-                }
                 Record::CheckpointEnd { pages_total, .. } => {
                     if pages_total != pages_seen {
                         return Err(CoreError::InvalidScenario(format!(
@@ -864,7 +812,10 @@ impl Session {
                     }
                     saw_trailer = true;
                 }
-                Record::Ack { .. } => {}
+                // Page records were staged above. Device identities are
+                // checked on failover, where the device manager builds the
+                // replica's own device set.
+                _ => {}
             }
         }
         if !saw_trailer {
@@ -1142,10 +1093,7 @@ impl Session {
     /// memory.
     pub(crate) fn install_delta(&mut self, delta: &MemoryDelta, _iter: u32) -> CoreResult<()> {
         for member in self.replicas.iter_mut() {
-            let vm = member.host.vm_mut(member.vm)?;
-            for &(page, rec) in delta.entries() {
-                vm.memory_mut().install_page(page, rec)?;
-            }
+            install_staged(member.host.vm_mut(member.vm)?.memory_mut(), delta.entries())?;
         }
         Ok(())
     }

@@ -91,12 +91,6 @@ impl Replica {
         self.host.kind()
     }
 
-    /// True while the replica trails the primary past the configured
-    /// staleness bound.
-    pub fn is_stale(&self) -> bool {
-        self.stale
-    }
-
     /// Pages parked in the replica's catch-up backlog — the health
     /// plane's backlog-depth signal.
     pub fn backlog_pages(&self) -> u64 {

@@ -1,18 +1,18 @@
 //! The multithreaded replication data plane (§7.2).
 //!
-//! Two genuinely concurrent collection paths, matching the paper's two
+//! One genuinely concurrent collection path serves both of the paper's
 //! schemes:
 //!
 //! 1. **Continuous checkpointing** — guest memory is split into 2 MiB
 //!    chunks, assigned round-robin to worker threads; during each
 //!    checkpoint every worker scans the shared dirty bitmap over its own
 //!    chunks and copies the pages it owns ([`collect_chunked`]).
-//! 2. **Seeding** — one migrator thread per vCPU harvests that vCPU's PML
-//!    ring and sends its own dirty pages ([`collect_per_vcpu`]); pages
-//!    transferred by *different* threads across rounds are "problematic"
-//!    (possible cross-vCPU write races) and are tracked by
-//!    [`ProblematicTracker`] for mandatory resend in the final
-//!    stop-and-copy.
+//! 2. **Seeding** — each pre-copy round collects its dirty set the same
+//!    way, and attributes every page to the migrator thread of the vCPU
+//!    that last wrote it (the page's `last_writer`). Pages sent by
+//!    *different* threads across rounds are "problematic" (possible
+//!    cross-vCPU write races) and are tracked by [`ProblematicTracker`]
+//!    for mandatory resend in the final stop-and-copy.
 //!
 //! The worker threads are real (`std::thread::scope`); only the *reported
 //! durations* come from the calibrated [`CostModel`], keeping results
@@ -20,7 +20,7 @@
 //!
 //! [`CostModel`]: crate::config::CostModel
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use here_hypervisor::dirty::DirtyBitmap;
 use here_hypervisor::memory::{GuestMemory, PageVersion};
@@ -148,51 +148,6 @@ pub fn collect_chunked_into(
     );
 }
 
-/// Per-vCPU seeding collection: turns each vCPU's harvested ring into its
-/// own delta, one real thread per vCPU.
-///
-/// Returns one delta per input ring (parallel arrays).
-pub fn collect_per_vcpu(memory: &GuestMemory, harvests: &[Vec<PageId>]) -> Vec<MemoryDelta> {
-    if harvests.len() <= 1 {
-        return harvests
-            .iter()
-            .map(|pages| pages_to_delta(memory, pages))
-            .collect();
-    }
-    let mut out: Vec<MemoryDelta> = Vec::with_capacity(harvests.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = harvests
-            .iter()
-            .map(|pages| s.spawn(move || pages_to_delta(memory, pages)))
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("seeding worker must not panic"));
-        }
-    });
-    out
-}
-
-fn pages_to_delta(memory: &GuestMemory, pages: &[PageId]) -> MemoryDelta {
-    let mut delta = MemoryDelta::new();
-    // PML rings log every write, so the same frame can reappear anywhere
-    // in the ring, not just adjacently (vCPU touches A, B, then A again).
-    // Track seen frames so each page is sent once, in first-log order;
-    // the cheap adjacent check still short-circuits tight write loops.
-    let mut seen: HashSet<u64> = HashSet::with_capacity(pages.len());
-    let mut last = None;
-    for &page in pages {
-        if last == Some(page) || !seen.insert(page.frame()) {
-            continue;
-        }
-        last = Some(page);
-        let rec = memory
-            .page(page)
-            .expect("PML rings only log in-range pages");
-        delta.push(page, rec);
-    }
-    delta
-}
-
 /// Tracks pages sent by more than one seeding thread across migration
 /// rounds — the paper's "problematic" pages (§7.2, scheme 1), which may
 /// have been modified by multiple vCPUs mid-copy and must be resent during
@@ -315,43 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn per_vcpu_collection_dedups_ring_repeats() {
-        let (mem, _) = memory_with_dirty(&[1, 2, 3]);
-        let harvests = vec![
-            vec![PageId::new(1), PageId::new(1), PageId::new(2)],
-            vec![PageId::new(3)],
-        ];
-        let deltas = collect_per_vcpu(&mem, &harvests);
-        assert_eq!(deltas.len(), 2);
-        assert_eq!(deltas[0].len(), 2);
-        assert_eq!(deltas[1].len(), 1);
-    }
-
-    #[test]
-    fn per_vcpu_collection_dedups_non_adjacent_ring_repeats() {
-        // Regression: a vCPU touching A, B, then A again logs A twice with
-        // B in between; only adjacent repeats used to be skipped, so A was
-        // sent twice.
-        let (mem, _) = memory_with_dirty(&[1, 2, 3]);
-        let harvests = vec![vec![
-            PageId::new(1),
-            PageId::new(2),
-            PageId::new(1),
-            PageId::new(3),
-            PageId::new(2),
-            PageId::new(1),
-        ]];
-        let deltas = collect_per_vcpu(&mem, &harvests);
-        assert_eq!(deltas[0].len(), 3, "each frame must appear exactly once");
-        let frames: Vec<u64> = deltas[0]
-            .entries()
-            .iter()
-            .map(|&(p, _)| p.frame())
-            .collect();
-        assert_eq!(frames, vec![1, 2, 3], "first-log order is preserved");
-    }
-
-    #[test]
     fn pooled_collection_reuses_buffers_and_matches() {
         let frames: Vec<u64> = (0..8192).step_by(5).collect();
         let (mem, bm) = memory_with_dirty(&frames);
@@ -387,8 +305,14 @@ mod tests {
     #[test]
     fn problematic_tracker_via_deltas() {
         let (mem, _) = memory_with_dirty(&[1, 2]);
-        let d0 = pages_to_delta(&mem, &[PageId::new(1), PageId::new(2)]);
-        let d1 = pages_to_delta(&mem, &[PageId::new(2)]);
+        let delta_of = |frames: &[u64]| -> MemoryDelta {
+            frames
+                .iter()
+                .map(|&f| (PageId::new(f), mem.page(PageId::new(f)).unwrap()))
+                .collect()
+        };
+        let d0 = delta_of(&[1, 2]);
+        let d1 = delta_of(&[2]);
         let mut t = ProblematicTracker::new();
         t.record_delta(&d0, 0);
         t.record_delta(&d1, 1);

@@ -18,6 +18,7 @@
 use bytes::{Bytes, BytesMut};
 use here_core::dataplane::{
     encode_pages_round, BufferPool, EncodePlan, LanePool, PayloadMode, SegmentRestorer,
+    PARALLEL_ENCODE_MIN_PAGES,
 };
 use here_core::{
     CoreError, FanoutMode, FaultKind, FaultPlan, ReplicationConfig, RunReport, Scenario,
@@ -65,8 +66,18 @@ fn serial_reference(memory: &GuestMemory, dirty: &DirtyBitmap) -> MemoryDelta {
     delta
 }
 
+/// `writes` plus a run of [`PARALLEL_ENCODE_MIN_PAGES`] consecutive frames
+/// from `start`, so the dirty set is large enough for the round to keep
+/// every requested lane (`guest_with_writes` wraps frames modulo the guest
+/// size, which must exceed the run).
+fn with_dense_run(writes: &[(u64, u32)], start: u64) -> Vec<(u64, u32)> {
+    let run = (0..PARALLEL_ENCODE_MIN_PAGES as u64).map(|i| (start + i, (i % 4) as u32));
+    writes.iter().copied().chain(run).collect()
+}
+
 /// Encodes `delta` per `plan` and decodes it into a fresh replica through
-/// a restorer negotiated at `version`; returns the restored replica.
+/// a restorer negotiated at `version`; returns the restored replica and
+/// the number of lanes the round ran on (1 for an inline round).
 fn restore_with(
     memory: &GuestMemory,
     delta: &MemoryDelta,
@@ -74,9 +85,14 @@ fn restore_with(
     pool: &mut BufferPool,
     lane_pool: &LanePool,
     version: u16,
-) -> GuestMemory {
+) -> (GuestMemory, usize) {
     let mut segments = Vec::new();
-    encode_pages_round(delta, plan, pool, lane_pool, |_, seg| segments.push(seg));
+    let (_, stats) = encode_pages_round(delta, plan, pool, lane_pool, |_, seg| segments.push(seg));
+    let lanes_used = stats.per_lane.len().max(1);
+    if lanes_used > 1 {
+        // Every task ran on exactly one of the round's lanes.
+        assert_eq!(stats.tasks(), segments.len() as u64);
+    }
     let mut replica = GuestMemory::new(memory.size()).expect("replica size is valid");
     let mut restorer = SegmentRestorer::new_versioned(&mut replica, true, version);
     for seg in &segments {
@@ -86,7 +102,7 @@ fn restore_with(
     for seg in segments {
         pool.recycle(seg);
     }
-    replica
+    (replica, lanes_used)
 }
 
 proptest! {
@@ -94,14 +110,18 @@ proptest! {
 
     /// The differential: for arbitrary dirty sets, the v2 materialized
     /// stream and the v3 columnar stream restore byte-identical replica
-    /// images at every lane count × chunk framing.
+    /// images at every lane count × chunk framing. A dense run keeps each
+    /// delta at or above the small-delta clamp, so lanes > 1 really encode
+    /// on that many lanes.
     #[test]
     fn v2_and_v3_restore_identical_images_at_every_lane_and_chunk(
-        num_pages in 64u64..2048,
+        num_pages in 1100u64..2048,
+        run_start in 0u64..2048,
         writes in proptest::collection::vec((0u64..4096, 0u32..8), 1..200),
     ) {
-        let (memory, dirty) = guest_with_writes(num_pages, &writes);
+        let (memory, dirty) = guest_with_writes(num_pages, &with_dense_run(&writes, run_start));
         let delta = serial_reference(&memory, &dirty);
+        prop_assert!(delta.len() >= PARALLEL_ENCODE_MIN_PAGES);
         let mut pool = BufferPool::new();
         let lane_pool = LanePool::new();
         for lanes in [1u32, 2, 4] {
@@ -118,10 +138,12 @@ proptest! {
                     chunk_pages,
                     window: Some(4),
                 };
-                let via_v2 =
+                let (via_v2, v2_lanes) =
                     restore_with(&memory, &delta, &v2_plan, &mut pool, &lane_pool, VERSION);
-                let via_v3 =
+                let (via_v3, v3_lanes) =
                     restore_with(&memory, &delta, &v3_plan, &mut pool, &lane_pool, VERSION_V3);
+                prop_assert_eq!(v2_lanes, lanes as usize);
+                prop_assert_eq!(v3_lanes, lanes as usize);
                 prop_assert!(
                     memory.content_equals(&via_v2),
                     "v2 replica diverged at lanes={} chunk={:?}", lanes, chunk_pages
@@ -138,14 +160,16 @@ proptest! {
     /// Abort → re-dirty → re-encode: an epoch that never committed leaves
     /// the base unchanged, so the merged re-encode (old pages + new
     /// writes, bumped versions) must still restore both formats to the
-    /// same image as the primary.
+    /// same image as the primary, on one lane and on four.
     #[test]
     fn reencode_after_abort_rebases_identically(
-        num_pages in 64u64..1024,
+        num_pages in 1100u64..2048,
+        run_start in 0u64..2048,
         first in proptest::collection::vec((0u64..2048, 0u32..8), 1..100),
         redirty in proptest::collection::vec((0u64..2048, 0u32..8), 1..100),
     ) {
-        let (mut memory, mut dirty) = guest_with_writes(num_pages, &first);
+        let (mut memory, mut dirty) =
+            guest_with_writes(num_pages, &with_dense_run(&first, run_start));
         // The first encode is aborted: nothing applies, nothing commits.
         let aborted = serial_reference(&memory, &dirty);
         drop(aborted);
@@ -157,6 +181,7 @@ proptest! {
             dirty.mark(page);
         }
         let merged = serial_reference(&memory, &dirty);
+        prop_assert!(merged.len() >= PARALLEL_ENCODE_MIN_PAGES);
         let mut pool = BufferPool::new();
         let lane_pool = LanePool::new();
         for lanes in [1u32, 4] {
@@ -172,9 +197,12 @@ proptest! {
                 chunk_pages: Some(64),
                 window: None,
             };
-            let via_v2 = restore_with(&memory, &merged, &v2_plan, &mut pool, &lane_pool, VERSION);
-            let via_v3 =
+            let (via_v2, v2_lanes) =
+                restore_with(&memory, &merged, &v2_plan, &mut pool, &lane_pool, VERSION);
+            let (via_v3, v3_lanes) =
                 restore_with(&memory, &merged, &v3_plan, &mut pool, &lane_pool, VERSION_V3);
+            prop_assert_eq!(v2_lanes, lanes as usize);
+            prop_assert_eq!(v3_lanes, lanes as usize);
             prop_assert!(memory.content_equals(&via_v2));
             prop_assert!(via_v2.content_equals(&via_v3));
         }

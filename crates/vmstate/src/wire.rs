@@ -278,11 +278,6 @@ impl PageDataBatch {
     pub fn pages(&self) -> &[(PageId, PageVersion, Bytes)] {
         &self.pages
     }
-
-    /// Consumes the batch into its pages.
-    pub fn into_pages(self) -> Vec<(PageId, PageVersion, Bytes)> {
-        self.pages
-    }
 }
 
 /// Fixed self-describing header of a v3 page-columns record payload:
@@ -969,11 +964,6 @@ impl StreamEncoder {
         self.buf.len() == PREAMBLE_BYTES
     }
 
-    /// Exposes the underlying buffer, e.g. to attach a [`PageDataWriter`].
-    pub fn buffer_mut(&mut self) -> &mut BytesMut {
-        &mut self.buf
-    }
-
     /// Finalises the stream.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
@@ -1162,11 +1152,6 @@ impl ScatterStream {
     /// Whether the stream has no bytes at all.
     pub fn is_empty(&self) -> bool {
         self.total == 0
-    }
-
-    /// Number of segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
     }
 
     /// The segments in stream order.
