@@ -146,7 +146,7 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
         while session.clock < warmup_end {
             let t = session.period.current();
             let epoch_end = (session.clock + t).min(warmup_end);
-            session.advance(epoch_end.saturating_duration_since(session.clock), false);
+            session.advance(epoch_end.saturating_duration_since(session.clock), false)?;
             do_checkpoint(&mut session, t)?;
             // Bounded workloads cycle during warmup so the dirty pressure
             // the controller converges against never drops out.
@@ -199,7 +199,7 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
             let fire_at = replication_start + p.at.saturating_duration_since(SimTime::ZERO);
             if fire_at < epoch_end {
                 let run_for = fire_at.saturating_duration_since(session.clock);
-                session.advance(run_for, false);
+                session.advance(run_for, false)?;
                 let plan_taken = plan.take().expect("plan checked above");
                 let downed = apply_cause(&plan_taken.cause, session.primary.as_mut());
                 record_fault(&mut session, &plan_taken.cause, downed);
@@ -226,7 +226,7 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
             }
         }
 
-        session.advance(epoch_end.saturating_duration_since(session.clock), true);
+        session.advance(epoch_end.saturating_duration_since(session.clock), true)?;
         match do_checkpoint(&mut session, t) {
             Ok(()) => {}
             Err(CoreError::InjectedPrimaryFault {

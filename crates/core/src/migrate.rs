@@ -56,7 +56,7 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
 
     // Thread-pool and per-vCPU PML setup (zero for Remus); the VM keeps
     // running.
-    session.advance(strategy.migration_setup(&costs), false);
+    session.advance(strategy.migration_setup(&costs), false)?;
 
     // Iteration 0: every page of the VM goes over.
     let total_pages = session.primary.vm(session.pvm)?.memory().num_pages();
@@ -69,7 +69,7 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
         .memory()
         .touched_iter()
         .collect();
-    session.advance(round, false);
+    session.advance(round, false)?;
     session.install_delta(&full_delta, 0)?;
     pages_sent += total_pages;
     let at_nanos = session.clock.as_nanos();
@@ -146,7 +146,7 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
         strategy.track_problematic(&mut tracker, &delta);
         let problematic_new = (tracker.len() - before) as u64;
         let round = costs.migration_round(dirty_count, session.threads);
-        session.advance(round, false);
+        session.advance(round, false)?;
         session.install_delta(&delta, iter)?;
         pages_sent += dirty_count;
         let at_nanos = session.clock.as_nanos();

@@ -488,7 +488,12 @@ impl Session {
     /// Advances the protected VM (and virtual time) by `dt`, slicing for
     /// emission timestamps and phase changes. Returns early if the
     /// workload completes and `stop_done` is set.
-    pub(crate) fn advance(&mut self, dt: SimDuration, stop_done: bool) {
+    ///
+    /// # Errors
+    ///
+    /// A hypervisor error if the primary VM is gone while there is guest
+    /// time to run.
+    pub(crate) fn advance(&mut self, dt: SimDuration, stop_done: bool) -> CoreResult<()> {
         let end = self.clock + dt;
         while self.clock < end {
             let slice = (end - self.clock).clamp(SimDuration::ZERO, MAX_SLICE);
@@ -502,10 +507,7 @@ impl Session {
             let progress = if effective.is_zero() {
                 here_workloads::traits::Progress::default()
             } else {
-                let vm = self
-                    .primary
-                    .vm_mut(self.pvm)
-                    .expect("primary must be alive while advancing");
+                let vm = self.primary.vm_mut(self.pvm)?;
                 if in_seed && !self.load_during_seed {
                     // The benchmark has not started yet; an idle guest
                     // supplies the background dirtying the seed copies.
@@ -531,9 +533,10 @@ impl Session {
             self.clock += slice;
             self.tick_vcpus(slice);
             if stop_done && self.workload.is_done() {
-                return;
+                return Ok(());
             }
         }
+        Ok(())
     }
 
     /// Advances guest CPU state so checkpoints carry evolving registers.
@@ -1406,5 +1409,34 @@ impl Session {
             incident,
             wire_versions,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use here_hypervisor::error::HvError;
+    use here_workloads::memstress::MemStress;
+
+    #[test]
+    fn advance_without_a_primary_vm_is_an_error() {
+        let mut s = Session::new(SessionSetup {
+            name: "advance".into(),
+            memory: ByteSize::from_mib(16),
+            vcpus: 2,
+            cfg: ReplicationConfig::fixed_period(SimDuration::from_secs(1)),
+            workload: Box::new(MemStress::with_percent(30).with_rate(20_000)),
+            seed: 1,
+            load_during_seed: true,
+            verify_consistency: false,
+            chaos: None,
+        })
+        .unwrap();
+        // A reboot loses every VM on the host, the protected one included.
+        s.primary.reboot();
+        assert!(matches!(
+            s.advance(SimDuration::from_millis(50), false),
+            Err(CoreError::Hypervisor(HvError::NoSuchVm(_)))
+        ));
     }
 }

@@ -73,6 +73,24 @@ impl DirtyBitmap {
         }
     }
 
+    /// Marks every frame of `[lo, hi)` dirty, one masked word at a time —
+    /// the range form of [`mark`](DirtyBitmap::mark) behind sequential
+    /// guest sweeps. `hi` is clamped to the covered range, and `count`
+    /// grows only by the bits that were clean, so the result is exactly
+    /// that of marking each frame in turn.
+    pub fn mark_run(&mut self, lo: u64, hi: u64) {
+        let hi = hi.min(self.num_pages);
+        if lo >= hi {
+            return;
+        }
+        for wi in lo / 64..hi.div_ceil(64) {
+            let word = &mut self.words[wi as usize];
+            let mask = range_mask(wi, lo, hi);
+            self.count += (mask & !*word).count_ones() as u64;
+            *word |= mask;
+        }
+    }
+
     /// `true` if `page` is marked dirty.
     pub fn is_dirty(&self, page: PageId) -> bool {
         let frame = page.frame();
@@ -202,19 +220,25 @@ impl DirtyBitmap {
     }
 }
 
-/// Loads word `wi` of `words`, masking off bits outside `[lo, hi)`.
+/// The bits of word `wi` whose frames fall inside `[lo, hi)`.
 #[inline]
-fn masked_word(words: &[u64], wi: u64, lo: u64, hi: u64) -> u64 {
-    let mut w = words[wi as usize];
+fn range_mask(wi: u64, lo: u64, hi: u64) -> u64 {
+    let mut mask = !0u64;
     let base = wi * 64;
     if base < lo {
-        w &= !0u64 << (lo - base);
+        mask &= !0u64 << (lo - base);
     }
     if base + 64 > hi {
         let keep = hi.saturating_sub(base);
-        w &= if keep >= 64 { !0 } else { (1u64 << keep) - 1 };
+        mask &= if keep >= 64 { !0 } else { (1u64 << keep) - 1 };
     }
-    w
+    mask
+}
+
+/// Loads word `wi` of `words`, masking off bits outside `[lo, hi)`.
+#[inline]
+fn masked_word(words: &[u64], wi: u64, lo: u64, hi: u64) -> u64 {
+    words[wi as usize] & range_mask(wi, lo, hi)
 }
 
 /// Allocation-free iterator over the dirty frames of a [`DirtyBitmap`]
@@ -337,6 +361,20 @@ impl PmlRing {
         self.entries.push(page);
     }
 
+    /// Logs every frame of `[lo, hi)` in ascending order, exactly as
+    /// `hi - lo` calls to [`log`](PmlRing::log) would: every attempt
+    /// counts towards [`total_logged`](PmlRing::total_logged), the frames
+    /// that fit are buffered in order, and the rest set the overflow flag.
+    pub fn log_run(&mut self, lo: u64, hi: u64) {
+        let n = hi.saturating_sub(lo);
+        self.total_logged += n;
+        let room = (self.capacity - self.entries.len()) as u64;
+        if n > room {
+            self.overflowed = true;
+        }
+        self.entries.extend((lo..lo + n.min(room)).map(PageId::new));
+    }
+
     /// Number of buffered entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -363,6 +401,14 @@ impl PmlRing {
     pub fn harvest(&mut self) -> Vec<PageId> {
         self.overflowed = false;
         std::mem::take(&mut self.entries)
+    }
+
+    /// Discards the buffered entries and resets the overflow flag, keeping
+    /// the buffer's allocation — for callers that drop the ring's contents
+    /// (the bitmap already holds every frame) rather than consume them.
+    pub fn clear(&mut self) {
+        self.overflowed = false;
+        self.entries.clear();
     }
 }
 
@@ -400,9 +446,14 @@ impl DirtyTracker {
     /// moment). Clears any stale state.
     pub fn enable_logging(&mut self) {
         self.logging_enabled = true;
+        self.clear();
+    }
+
+    /// Clears the bitmap and empties every ring, keeping their buffers.
+    pub(crate) fn clear(&mut self) {
         self.bitmap.clear();
         for ring in &mut self.rings {
-            ring.harvest();
+            ring.clear();
         }
     }
 
@@ -425,6 +476,20 @@ impl DirtyTracker {
         self.bitmap.mark(page);
         if let Some(ring) = self.rings.get_mut(vcpu_index) {
             ring.log(page);
+        }
+    }
+
+    /// Records writes by `vcpu_index` to every frame of `[lo, hi)`, in
+    /// ascending order, into both mechanisms — the same state as
+    /// [`record_write`](DirtyTracker::record_write) per frame. A no-op
+    /// while logging is disabled.
+    pub fn record_run(&mut self, lo: u64, hi: u64, vcpu_index: usize) {
+        if !self.logging_enabled {
+            return;
+        }
+        self.bitmap.mark_run(lo, hi);
+        if let Some(ring) = self.rings.get_mut(vcpu_index) {
+            ring.log_run(lo, hi);
         }
     }
 
@@ -590,6 +655,105 @@ mod tests {
         assert!(ring.is_empty());
     }
 
+    /// Marks `[lo, hi)` one frame at a time — the reference for
+    /// [`DirtyBitmap::mark_run`].
+    fn mark_each(bm: &mut DirtyBitmap, lo: u64, hi: u64) {
+        for f in lo..hi {
+            bm.mark(PageId::new(f));
+        }
+    }
+
+    fn popcount(bm: &DirtyBitmap) -> u64 {
+        bm.words.iter().map(|w| w.count_ones() as u64).sum()
+    }
+
+    #[test]
+    fn mark_run_matches_per_frame_marks() {
+        let ranges = [
+            (5, 5),     // lo == hi
+            (9, 3),     // inverted: empty
+            (17, 18),   // a single bit
+            (60, 70),   // straddles one word boundary
+            (0, 64),    // exactly one word
+            (1, 200),   // several words, unaligned both ends
+            (150, 900), // hi past num_pages: clamped
+            (300, 400), // lo past num_pages: nothing
+        ];
+        for (lo, hi) in ranges {
+            let mut run = DirtyBitmap::new(257);
+            let mut each = run.clone();
+            run.mark_run(lo, hi);
+            mark_each(&mut each, lo, hi);
+            assert_eq!(run, each, "range [{lo}, {hi})");
+            assert_eq!(run.count(), popcount(&run), "range [{lo}, {hi})");
+        }
+    }
+
+    #[test]
+    fn mark_run_counts_only_newly_dirty_bits() {
+        let mut bm = DirtyBitmap::new(300);
+        for f in [3u64, 63, 64, 100, 299] {
+            bm.mark(PageId::new(f));
+        }
+        let mut each = bm.clone();
+        bm.mark_run(50, 120);
+        mark_each(&mut each, 50, 120);
+        assert_eq!(bm, each);
+        // The 70 frames of the run (63, 64 and 100 were already dirty and
+        // count once) plus the two dirty frames outside it.
+        assert_eq!(bm.count(), 70 + 2);
+        assert_eq!(bm.count(), popcount(&bm));
+        bm.mark_run(0, 300);
+        assert_eq!(bm.count(), 300);
+        assert_eq!(bm.count(), popcount(&bm));
+    }
+
+    #[test]
+    fn log_run_overflowing_mid_run_keeps_the_first_frames() {
+        let mut run = PmlRing::with_capacity(8);
+        let mut each = run.clone();
+        for ring in [&mut run, &mut each] {
+            ring.log(PageId::new(1000));
+            ring.log(PageId::new(1001));
+        }
+        // Room for 6 more; the run offers 10.
+        run.log_run(20, 30);
+        for f in 20..30 {
+            each.log(PageId::new(f));
+        }
+        assert_eq!(run, each);
+        assert!(run.overflowed());
+        assert_eq!(run.len(), 8);
+        assert_eq!(run.total_logged(), 12);
+        let kept = run.harvest();
+        assert_eq!(kept[2..], (20..26).map(PageId::new).collect::<Vec<_>>()[..]);
+        // A full ring drops a whole run but still counts it.
+        let mut full = PmlRing::with_capacity(2);
+        full.log_run(0, 2);
+        assert!(!full.overflowed());
+        full.log_run(5, 9);
+        assert!(full.overflowed());
+        assert_eq!(full.len(), 2);
+        assert_eq!(full.total_logged(), 6);
+        // An empty run changes nothing.
+        let mut quiet = PmlRing::with_capacity(1);
+        quiet.log_run(4, 4);
+        quiet.log_run(4, 1);
+        assert_eq!(quiet, PmlRing::with_capacity(1));
+    }
+
+    #[test]
+    fn clear_empties_the_ring_and_keeps_its_buffer() {
+        let mut ring = PmlRing::with_capacity(4);
+        ring.log_run(0, 6);
+        let cap = ring.entries.capacity();
+        ring.clear();
+        assert!(ring.is_empty());
+        assert!(!ring.overflowed());
+        assert_eq!(ring.total_logged(), 6);
+        assert_eq!(ring.entries.capacity(), cap);
+    }
+
     #[test]
     fn tracker_routes_writes_to_both_mechanisms() {
         let mut t = DirtyTracker::new(1024, 2);
@@ -614,5 +778,6 @@ mod tests {
         t.enable_logging();
         assert_eq!(t.bitmap().count(), 0);
         assert!(t.ring(0).unwrap().is_empty());
+        assert!(t.rings[0].entries.capacity() > 0, "ring buffer was dropped");
     }
 }

@@ -201,9 +201,10 @@ pub trait Hypervisor: std::fmt::Debug {
     /// full toolstack path costs ~40 ms (Fig. 7 discussion).
     fn activation_latency(&self) -> SimDuration;
 
-    /// Atomically snapshots and clears a VM's dirty bitmap, also draining
-    /// the per-vCPU PML rings so they do not grow without bound — the
-    /// harvest primitive the checkpoint pipeline calls at every pause.
+    /// Atomically snapshots and clears a VM's dirty bitmap, also emptying
+    /// the per-vCPU PML rings (their buffers are kept for the next epoch)
+    /// — the harvest primitive the checkpoint pipeline calls at every
+    /// pause.
     ///
     /// # Errors
     ///
@@ -211,10 +212,7 @@ pub trait Hypervisor: std::fmt::Debug {
     fn snapshot_dirty(&mut self, vm: VmId) -> HvResult<DirtyBitmap> {
         let vm = self.vm_mut(vm)?;
         let snapshot = vm.dirty().bitmap().clone();
-        vm.dirty_mut().bitmap_mut().clear();
-        for i in 0..vm.dirty().vcpu_count() {
-            let _ = vm.dirty_mut().harvest_ring(i);
-        }
+        vm.dirty_mut().clear();
         Ok(snapshot)
     }
 }

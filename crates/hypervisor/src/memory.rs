@@ -159,12 +159,38 @@ impl GuestMemory {
                 page: page.frame(),
                 limit,
             })?;
-        if rec.version == 0 {
+        if bump_version(rec, vcpu) {
             self.touched += 1;
         }
-        rec.version = rec.version.wrapping_add(1).max(1);
-        rec.last_writer = vcpu.index() as u16;
         Ok(*rec)
+    }
+
+    /// Records a guest write by `vcpu` to every frame of `[lo, hi)` — the
+    /// range form of [`GuestMemory::write_page`] behind sequential sweeps,
+    /// leaving exactly the state the per-page writes would. An empty range
+    /// is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HvError::PageOutOfRange`] if the range reaches beyond the
+    /// address space; no page is written then.
+    pub fn write_run(&mut self, lo: u64, hi: u64, vcpu: VcpuId) -> HvResult<()> {
+        if lo >= hi {
+            return Ok(());
+        }
+        let limit = self.num_pages();
+        if hi > limit {
+            return Err(HvError::PageOutOfRange {
+                page: lo.max(limit),
+                limit,
+            });
+        }
+        let fresh = self.pages[lo as usize..hi as usize]
+            .iter_mut()
+            .map(|rec| bump_version(rec, vcpu) as u64)
+            .sum::<u64>();
+        self.touched += fresh;
+        Ok(())
     }
 
     /// Installs a page version received from a replication stream.
@@ -236,6 +262,17 @@ impl GuestMemory {
             .take(max)
             .collect()
     }
+}
+
+/// Applies one guest write by `vcpu` to `rec`; returns `true` when the
+/// page had never been written. Versions wrap past `u32::MAX` to 1, never
+/// to the pristine 0.
+#[inline]
+fn bump_version(rec: &mut PageVersion, vcpu: VcpuId) -> bool {
+    let fresh = rec.version == 0;
+    rec.version = rec.version.wrapping_add(1).max(1);
+    rec.last_writer = vcpu.index() as u16;
+    fresh
 }
 
 /// Deterministically expands a page record into its 4 KiB byte image.
@@ -321,6 +358,68 @@ mod tests {
         ));
         assert!(mem.page(bad).is_err());
         assert!(mem.materialize(bad).is_err());
+    }
+
+    #[test]
+    fn write_run_matches_per_page_writes() {
+        let mut run = mem_mib(1);
+        let mut each = mem_mib(1);
+        for mem in [&mut run, &mut each] {
+            mem.write_page(PageId::new(12), VcpuId::new(1)).unwrap();
+        }
+        run.write_run(10, 40, VcpuId::new(3)).unwrap();
+        for f in 10..40 {
+            each.write_page(PageId::new(f), VcpuId::new(3)).unwrap();
+        }
+        assert_eq!(run, each);
+        assert_eq!(run.touched_pages(), 30);
+        assert_eq!(run.page(PageId::new(12)).unwrap().version, 2);
+        // Empty and inverted ranges write nothing.
+        run.write_run(50, 50, VcpuId::new(0)).unwrap();
+        run.write_run(60, 55, VcpuId::new(0)).unwrap();
+        assert_eq!(run, each);
+    }
+
+    #[test]
+    fn write_run_out_of_range_leaves_memory_untouched() {
+        let mut mem = mem_mib(1);
+        let limit = mem.num_pages();
+        let before = mem.clone();
+        assert_eq!(
+            mem.write_run(limit - 4, limit + 1, VcpuId::new(0)),
+            Err(HvError::PageOutOfRange { page: limit, limit })
+        );
+        assert_eq!(mem, before);
+        // The whole range may lie beyond the address space.
+        assert!(mem.write_run(limit + 2, limit + 9, VcpuId::new(0)).is_err());
+        assert_eq!(mem, before);
+        mem.write_run(limit - 4, limit, VcpuId::new(0)).unwrap();
+        assert_eq!(mem.touched_pages(), 4);
+    }
+
+    #[test]
+    fn version_wrap_skips_the_pristine_zero() {
+        let mut mem = mem_mib(1);
+        let worn = PageVersion {
+            version: u32::MAX,
+            last_writer: 0,
+        };
+        for f in [3u64, 4] {
+            mem.install_page(PageId::new(f), worn).unwrap();
+        }
+        mem.write_run(3, 5, VcpuId::new(2)).unwrap();
+        for f in [3u64, 4] {
+            let rec = mem.page(PageId::new(f)).unwrap();
+            assert_eq!((rec.version, rec.last_writer), (1, 2));
+        }
+        assert_eq!(mem.touched_pages(), 2, "a wrapped page is not new");
+        mem.install_page(PageId::new(3), worn).unwrap();
+        assert_eq!(
+            mem.write_page(PageId::new(3), VcpuId::new(1))
+                .unwrap()
+                .version,
+            1
+        );
     }
 
     #[test]

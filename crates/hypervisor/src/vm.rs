@@ -256,14 +256,36 @@ impl Vm {
     /// Returns [`HvError::WrongRunState`] if the VM is not running, or
     /// [`HvError::PageOutOfRange`] for a bad frame.
     pub fn guest_write(&mut self, page: PageId, vcpu: VcpuId) -> HvResult<()> {
+        self.check_writable()?;
+        self.memory.write_page(page, vcpu)?;
+        self.dirty.record_write(page, vcpu.index() as usize);
+        Ok(())
+    }
+
+    /// Records guest writes by `vcpu` to every frame of `[lo, hi)` in
+    /// ascending order, leaving exactly the memory and dirty-tracking state
+    /// of one [`guest_write`](Vm::guest_write) per frame. Only legal while
+    /// the VM runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HvError::WrongRunState`] if the VM is not running, or
+    /// [`HvError::PageOutOfRange`] if the range leaves the address space
+    /// (nothing is written then).
+    pub fn guest_write_run(&mut self, lo: u64, hi: u64, vcpu: VcpuId) -> HvResult<()> {
+        self.check_writable()?;
+        self.memory.write_run(lo, hi, vcpu)?;
+        self.dirty.record_run(lo, hi, vcpu.index() as usize);
+        Ok(())
+    }
+
+    fn check_writable(&self) -> HvResult<()> {
         if self.run_state != RunState::Running {
             return Err(HvError::WrongRunState {
                 op: "write guest memory",
                 state: self.run_state.label(),
             });
         }
-        self.memory.write_page(page, vcpu)?;
-        self.dirty.record_write(page, vcpu.index() as usize);
         Ok(())
     }
 

@@ -78,26 +78,38 @@ pub trait Workload: fmt::Debug {
 }
 
 /// Writes `count` pages sequentially starting at `start` (wrapping within
-/// `[base, base + len)`), attributing writes round-robin across vCPUs.
-/// Returns the next cursor position. The engine-facing workloads use this
-/// for sweep-style dirtying (memstress, lbm, stencil kernels).
+/// `[base, base + len)`), attributing writes round-robin across vCPUs in
+/// blocks of 64 cursor positions: cursor `c` writes as vCPU
+/// `(c / 64) % vcpus`. Returns the next cursor position. The engine-facing
+/// workloads use this for sweep-style dirtying (memstress, lbm, stencil
+/// kernels, the KV store and the YCSB GC sweep).
 ///
 /// The number of *distinct* pages marked is capped at `len` — extra laps
 /// would re-dirty the same pages without changing the dirty set, so they
 /// are skipped for speed, which keeps replica consistency intact (the final
 /// page versions are what get transferred).
 ///
+/// The sweep is issued as one [`Vm::guest_write_run`] per maximal run of
+/// consecutive frames with one writer: a run ends at every 64-cursor
+/// boundary (the vCPU changes there) and at the region's wrap point. The
+/// resulting memory and dirty-tracking state is bit-for-bit that of one
+/// [`Vm::guest_write`] per page in cursor order.
+///
 /// # Panics
 ///
 /// Panics if `len` is zero or the region exceeds the VM's address space.
 pub fn write_sweep(vm: &mut Vm, base: u64, len: u64, start: u64, count: u64, vcpus: u32) -> u64 {
     assert!(len > 0, "sweep region must be non-empty");
-    let effective = count.min(len);
-    for cursor in start..start + effective {
-        let frame = base + (cursor % len);
+    let end = start + count.min(len);
+    let mut cursor = start;
+    while cursor < end {
+        let offset = cursor % len;
+        let run_end = end.min((cursor / 64 + 1) * 64).min(cursor + (len - offset));
         let vcpu = here_hypervisor::VcpuId::new(((cursor / 64) % vcpus as u64) as u32);
-        vm.guest_write(here_hypervisor::PageId::new(frame), vcpu)
+        let lo = base + offset;
+        vm.guest_write_run(lo, lo + (run_end - cursor), vcpu)
             .expect("workload advances only while the VM runs");
+        cursor = run_end;
     }
     (start + count) % len
 }
